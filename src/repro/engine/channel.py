@@ -172,11 +172,13 @@ class RuntimeChannel:
             for item in items:
                 if item.sampled:
                     self.reporter.record_output_batch_latency(now - item.emitted_at)
-        transfer = self.network.transfer_time(batch_bytes)
+        network = self.network
+        # network.transfer_time(batch_bytes), inlined.
+        transfer = network.base_latency + batch_bytes / network.bandwidth
         if self.latency_penalty:
             transfer += self.latency_penalty
         if self.batches_shipped == 0:
-            transfer += self.network.connection_setup
+            transfer += network.connection_setup
         self.batches_shipped += 1
         # sim.schedule_fire(transfer, self._arrive, items), inlined:
         # fire-and-forget (never cancelled; _arrive drops on closed channels).

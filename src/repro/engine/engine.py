@@ -379,7 +379,9 @@ class DeployedJob:
     # ------------------------------------------------------------------
 
     def _on_task_created(self, task: RuntimeTask) -> None:
-        reporter = TaskReporter(task.vertex_name, task.task_id)
+        reporter = TaskReporter(
+            task.vertex_name, task.task_id, read_ready=task.udf.latency_mode == "RR"
+        )
         task.reporter = reporter
         self._pick_manager().attach_task(task, reporter)
         if self.engine.metrics is not None:

@@ -10,8 +10,8 @@ A :class:`RuntimeTask` is one data-parallel instance of a job vertex
 3. run the UDF, route the outputs through the output gates' partitioners
    and emit them into channels — blocking if a channel is at capacity
    (backpressure), which stretches the *measured* service time;
-4. report read-ready latency (= service time, Table I) to its QoS
-   reporter, then loop.
+4. report the service time to its QoS reporter (for read-ready UDFs it
+   doubles as the task latency, Table I), then loop.
 
 Source tasks instead generate items at the rate dictated by a
 :class:`~repro.workloads.rates.RateProfile` and are throttled to the
@@ -69,7 +69,7 @@ class OutputGate:
         "sim", "producer", "edge_name", "pattern", "key_fn", "strategy",
         "_mode", "_should_flush_on_emit", "_flush_deadline", "network",
         "channels", "partitioner", "_start", "_buffer", "_buffered_bytes",
-        "_flush_timer", "_timer_generation", "flushes",
+        "_flush_timer", "_timer_generation", "flushes", "_instant_overhead",
     )
 
     #: emit() dispatch modes resolved from the strategy type once at
@@ -106,6 +106,9 @@ class OutputGate:
         self._should_flush_on_emit = strategy.should_flush_on_emit
         self._flush_deadline = strategy.flush_deadline
         self.network = network
+        #: network.shipping_overhead(1), the cost of every InstantFlush
+        #: ship (network models are not mutated once gates use them)
+        self._instant_overhead = network.shipping_overhead(1)
         self.channels: List[RuntimeChannel] = []
         self.partitioner: Partitioner = make_partitioner(pattern, 1, key_fn, start)
         self._start = start
@@ -176,7 +179,12 @@ class OutputGate:
             if self._buffer:
                 self._flush()  # teardown edge: buffered items ship first
             self.flushes += 1
-            self.producer.add_overhead(self.network.shipping_overhead(1))
+            # Charge the producer's shipping overhead: counted as busy now,
+            # it delays the producer's next service or source tick.
+            overhead = self._instant_overhead
+            producer = self.producer
+            producer._overhead_debt += overhead
+            producer.busy_time += overhead
             channel.ship((item,), item.size)
             return True
         buffer = self._buffer
@@ -236,7 +244,12 @@ class OutputGate:
         self._buffer = []
         self._buffered_bytes = 0
         self.flushes += 1
-        self.producer.add_overhead(self.network.shipping_overhead(len(buffer)))
+        # network.shipping_overhead(len(buffer)), charged to the producer.
+        network = self.network
+        overhead = network.per_batch_overhead + network.per_item_overhead * len(buffer)
+        producer = self.producer
+        producer._overhead_debt += overhead
+        producer.busy_time += overhead
         if len(buffer) == 1:
             # Dominant case under deadline batching at low per-gate rates:
             # skip the grouping pass entirely.
@@ -261,7 +274,7 @@ class RuntimeTask:
     __slots__ = (
         "uid", "sim", "vertex_name", "subtask_index", "task_id", "udf", "rng",
         "item_size", "vectorized", "_service_fn", "_generate",
-        "_is_windowed", "_rr_mode",
+        "_is_windowed",
         "input_queue", "in_channels", "out_gates", "reporter", "state",
         "start_time", "stop_time", "on_stopped", "failed", "speed_factor",
         "service_multiplier", "_busy", "_paused_until", "_pop_time",
@@ -299,7 +312,6 @@ class RuntimeTask:
         self._service_fn: Optional[Callable[[object], float]] = None
         self._generate: Optional[Callable] = None  # bound SourceUDF.generate
         self._is_windowed = False
-        self._rr_mode = True
         self.input_queue = BoundedQueue(queue_capacity)
         self.in_channels: List[RuntimeChannel] = []
         self.out_gates: List[OutputGate] = []
@@ -365,7 +377,6 @@ class RuntimeTask:
         self.start_time = self.sim.now
         self.udf.open(self)
         self._is_windowed = isinstance(self.udf, WindowedAggregateUDF)
-        self._rr_mode = self.udf.latency_mode == "RR"
         if self.is_source:
             self._generate = self.udf.generate
         elif self.vectorized:
@@ -538,8 +549,8 @@ class RuntimeTask:
                 * self.service_multiplier
                 / self.speed_factor
             )
-        # Overhead debt was already counted into busy_time by add_overhead;
-        # here it only delays the completion.
+        # Overhead debt was already counted into busy_time by the output
+        # gate that charged it; here it only delays the completion.
         service = udf_service + self._overhead_debt
         self._overhead_debt = 0.0
         self.busy_time += udf_service
@@ -580,8 +591,6 @@ class RuntimeTask:
             reporter = self.reporter
             if reporter is not None:
                 reporter.record_service_time(elapsed)
-                if self._rr_mode:
-                    reporter.record_task_latency(elapsed)
             if self.service_histogram is not None:
                 self.service_histogram.observe(elapsed)
         if self.state in (RUNNING, DRAINING):
@@ -600,8 +609,6 @@ class RuntimeTask:
             reporter = self.reporter
             if reporter is not None:
                 reporter.record_service_time(elapsed)
-                if self._rr_mode:
-                    reporter.record_task_latency(elapsed)
             if self.service_histogram is not None:
                 self.service_histogram.observe(elapsed)
         if self.state in (RUNNING, DRAINING):
@@ -687,11 +694,6 @@ class RuntimeTask:
             self._schedule_source_tick()
         else:
             self._finish_or_block()
-
-    def add_overhead(self, seconds: float) -> None:
-        """Charge shipping overhead; consumed before the next service."""
-        self._overhead_debt += seconds
-        self.busy_time += seconds
 
     # ------------------------------------------------------------------
     # windowed UDFs

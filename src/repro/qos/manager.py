@@ -55,6 +55,10 @@ class QoSManager:
         self._last_fresh: Optional[float] = None
         #: lifetime count of collects whose samples were dropped
         self.dropped_collects = 0
+        #: lifetime count of reporter samples drained by :meth:`collect`
+        #: (dropout-dropped ones included; a read-ready task's shared
+        #: service/latency sample counts once)
+        self.samples_collected = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -119,16 +123,22 @@ class QoSManager:
             self.metrics.counter("qos.collects").inc()
             if suppressed:
                 self.metrics.counter("qos.suppressed_collects").inc()
+        samples = 0
         dead_tasks = []
         for uid, (task, reporter, windows) in self._tasks.items():
             if task.state == "stopped":
                 dead_tasks.append(uid)
                 continue
             measurement = reporter.flush(now)
+            task_latency = measurement.task_latency
+            service = measurement.service_time
+            samples += service.count + measurement.interarrival.count
+            if task_latency is not service:
+                samples += task_latency.count
             if suppressed:
                 continue
-            windows.task_latency.push(measurement.task_latency)
-            windows.service.push(measurement.service_time)
+            windows.task_latency.push(task_latency)
+            windows.service.push(service)
             windows.interarrival.push(measurement.interarrival)
         for uid in dead_tasks:
             del self._tasks[uid]
@@ -138,12 +148,14 @@ class QoSManager:
                 dead_channels.append(cid)
                 continue
             measurement = reporter.flush(now)
+            samples += measurement.channel_latency.count + measurement.output_batch_latency.count
             if suppressed:
                 continue
             windows.latency.push(measurement.channel_latency)
             windows.obl.push(measurement.output_batch_latency)
         for cid in dead_channels:
             del self._channels[cid]
+        self.samples_collected += samples
 
     # ------------------------------------------------------------------
     # adjustment interval

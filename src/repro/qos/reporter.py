@@ -7,12 +7,15 @@ the hot path); once per measurement interval the QoS manager drains the
 accumulators into :mod:`~repro.qos.measurements` records (paper: reporters
 "report to QoS managers once per measurement interval").
 
-Hot-path layout: ``record_*`` is bound to a plain ``list.append`` so the
-per-sample cost is one C call with no Python frame. The Welford
-accumulation runs once per interval in :meth:`flush`, walking the buffered
-samples in arrival order with the same :class:`OnlineStats` arithmetic the
-reporters used to apply per sample — snapshots are bit-identical to the
-former incremental scheme.
+Hot-path layout: ``record_*`` is bound to a plain ``list.append``, so one
+sample costs one C call and no Python frame. Once per interval
+:meth:`flush` summarizes each buffer with :func:`_snapshot`, a
+local-variable Welford loop that applies :meth:`~repro.qos.stats.OnlineStats.add`'s
+operations in the same order (min/max, which no snapshot carries, are
+skipped), so snapshots are bit-identical to the per-sample scheme. A
+read-ready task's latency *is* its service time (Table I), so its
+reporter buffers service times once and reports that one snapshot as
+both; recording a separate task latency on it is an error.
 """
 
 from __future__ import annotations
@@ -20,40 +23,59 @@ from __future__ import annotations
 from typing import List
 
 from repro.qos.measurements import ChannelMeasurement, TaskMeasurement
-from repro.qos.stats import OnlineStats, StatsSnapshot
+from repro.qos.stats import StatsSnapshot
 
 
 def _snapshot(samples: List[float]) -> StatsSnapshot:
     """Sequential-Welford snapshot of one interval's buffered samples."""
-    stats = OnlineStats()
-    add = stats.add
-    for value in samples:
-        add(value)
-    return stats.snapshot_and_reset()
+    mean = 0.0
+    m2 = 0.0
+    n = 0
+    for n, x in enumerate(samples, 1):
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+    return StatsSnapshot(n, mean, m2 / (n - 1) if n > 1 else 0.0)
 
 
 class TaskReporter:
-    """Accumulates one task's Table-I samples for the current interval."""
+    """Accumulates one task's Table-I samples for the current interval.
 
-    def __init__(self, vertex_name: str, task_id: str) -> None:
+    ``read_ready`` marks a task whose UDF latency mode is read-ready: its
+    task latency equals its service time, so only service times are
+    buffered and :meth:`flush` reports their snapshot for both.
+    """
+
+    def __init__(self, vertex_name: str, task_id: str, read_ready: bool = False) -> None:
         self.vertex_name = vertex_name
         self.task_id = task_id
+        self.read_ready = read_ready
         self._task_latency: List[float] = []
         self._service: List[float] = []
         self._interarrival: List[float] = []
         # Hot-path aliases: one sample = one list.append, no Python frame.
-        self.record_task_latency = self._task_latency.append
+        if read_ready:
+            self.record_task_latency = self._reject_task_latency
+        else:
+            self.record_task_latency = self._task_latency.append
         self.record_service_time = self._service.append
         self.record_interarrival = self._interarrival.append
 
+    def _reject_task_latency(self, value: float) -> None:
+        raise RuntimeError(
+            f"task {self.task_id} is read-ready: its task latency is its service "
+            "time, record it with record_service_time"
+        )
+
     def flush(self, now: float) -> TaskMeasurement:
         """Freeze and reset the interval accumulators."""
+        service = _snapshot(self._service)
         measurement = TaskMeasurement(
             self.vertex_name,
             self.task_id,
             now,
-            _snapshot(self._task_latency),
-            _snapshot(self._service),
+            service if self.read_ready else _snapshot(self._task_latency),
+            service,
             _snapshot(self._interarrival),
         )
         # Clear in place: record_* stays bound to the same list objects.

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.engine.udf import MapUDF, SinkUDF, SourceUDF
+from repro.engine.udf import MapUDF, SinkUDF, SourceUDF, WindowedAggregateUDF
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.kernel import Simulator
 from repro.simulation.randomness import Deterministic, Gamma
@@ -56,6 +56,27 @@ def make_linear_job(
     graph.connect(source, worker)
     graph.connect(worker, sink)
     source.rate_profile = ConstantRate(source_rate, jitter=jitter)
+    return graph
+
+
+def windowed_job(window=0.2, rate=100.0):
+    """Source -> windowed counter -> Sink."""
+    graph = JobGraph("windowed")
+    src = graph.add_vertex("Src", lambda: SourceUDF(lambda now, rng: 1))
+
+    def make_window():
+        return WindowedAggregateUDF(
+            window,
+            create=lambda: 0,
+            add=lambda acc, x: acc + 1,
+            finalize=lambda acc: [acc],
+        )
+
+    win = graph.add_vertex("Win", make_window)
+    sink = graph.add_vertex("Snk", lambda: SinkUDF())
+    graph.connect(src, win)
+    graph.connect(win, sink)
+    src.rate_profile = ConstantRate(rate, jitter="deterministic")
     return graph
 
 

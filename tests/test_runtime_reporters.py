@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_linear_job
+from conftest import make_linear_job, windowed_job
+from repro.engine.engine import EngineConfig, StreamProcessingEngine
 from repro.engine.runtime import RuntimeGraph, RuntimeVertex
 from repro.engine.task import CREATED, DRAINING, RUNNING, STOPPED
+from repro.graphs.job_graph import JobGraph
+from repro.qos.manager import QoSManager
 from repro.qos.reporter import ChannelReporter, TaskReporter
 
 
@@ -129,6 +132,79 @@ class TestTaskReporter:
         second = reporter.flush(now=2.0)
         assert second.service_time.count == 1
         assert second.service_time.mean == pytest.approx(3.0)
+
+
+def _run_capturing(graph: JobGraph, vertex: str, duration: float = 5.0):
+    """Run ``graph``; return ``vertex``'s reporters and every flush they made."""
+    engine = StreamProcessingEngine(EngineConfig(seed=3))
+    engine.submit(graph)
+    reporters = [task.reporter for task in engine.runtime.vertex(vertex).tasks]
+    measurements = []
+    for reporter in reporters:
+        flush = reporter.flush
+
+        def capture(now, flush=flush):
+            measurement = flush(now)
+            measurements.append(measurement)
+            return measurement
+
+        reporter.flush = capture
+    engine.run(duration)
+    return reporters, measurements
+
+
+class TestReporterModes:
+    def test_read_ready_task_shares_the_service_snapshot(self):
+        reporters, measurements = _run_capturing(make_linear_job(n_workers=2), "Worker")
+        assert reporters and all(r.read_ready for r in reporters)
+        assert sum(m.service_time.count for m in measurements) > 0
+        for m in measurements:
+            assert m.task_latency is m.service_time
+        for reporter in reporters:
+            assert reporter._task_latency == []
+
+    def test_windowed_task_reports_window_latencies_separately(self):
+        reporters, measurements = _run_capturing(windowed_job(), "Win")
+        assert [r.read_ready for r in reporters] == [False]
+        filled = [m for m in measurements if m.task_latency.count > 0]
+        assert filled
+        for m in filled:
+            assert m.task_latency is not m.service_time
+            # window latencies span up to the 0.2 s window; services are ~0
+            assert m.task_latency.mean > m.service_time.mean
+
+    def test_read_ready_reporter_rejects_task_latency(self):
+        reporter = TaskReporter("Worker", "Worker-0", read_ready=True)
+        with pytest.raises(RuntimeError, match="read-ready"):
+            reporter.record_task_latency(0.01)
+        assert reporter._task_latency == []
+        reporter.record_service_time(0.02)
+        measurement = reporter.flush(now=1.0)
+        assert measurement.task_latency is measurement.service_time
+        assert measurement.task_latency.count == 1
+
+    def test_manager_counts_collected_samples(self):
+        manager = QoSManager(0)
+        rr_task, rw_task = FakeTask(RUNNING), FakeTask(RUNNING)
+        rr_task.uid, rw_task.uid = 1, 2
+        rr = TaskReporter("V", "V[0]", read_ready=True)
+        rw = TaskReporter("W", "W[0]")
+        manager.attach_task(rr_task, rr)
+        manager.attach_task(rw_task, rw)
+        channel = FakeChannel("V->W")
+        channel.channel_id, channel.closed = 9, False
+        ch = ChannelReporter("V->W", 9)
+        manager.attach_channel(channel, ch)
+        rr.record_service_time(0.001)  # also its task latency: counted once
+        rr.record_interarrival(0.01)
+        rw.record_service_time(0.002)
+        rw.record_task_latency(0.05)
+        ch.record_channel_latency(0.003)
+        ch.record_output_batch_latency(0.001)
+        manager.collect(1.0)
+        assert manager.samples_collected == 6
+        manager.collect(2.0)  # reporters were drained: nothing new
+        assert manager.samples_collected == 6
 
 
 class TestChannelReporter:

@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.qos import reporter
 from repro.qos.stats import OnlineStats, StatsSnapshot, WindowedStats, percentile
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+#: finite floats whose Welford sums cannot overflow over 500 samples
+#: (|delta * delta| <= 4e300), so every result stays finite and ``==``
+#: compares bit patterns
+wide_floats = st.floats(
+    min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False
 )
 
 
@@ -83,6 +91,22 @@ class TestOnlineStats:
         assert s.variance == pytest.approx(
             statistics.variance(values), rel=1e-6, abs=1e-4
         )
+
+
+class TestReporterSnapshot:
+    """The reporters' inlined interval summary equals per-sample Welford."""
+
+    @given(st.lists(wide_floats, min_size=0, max_size=500))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_online_stats(self, values):
+        s = OnlineStats()
+        for v in values:
+            s.add(v)
+        expected = s.snapshot_and_reset()
+        got = reporter._snapshot(values)
+        assert got.count == expected.count
+        assert got.mean == expected.mean
+        assert got.variance == expected.variance
 
 
 class TestStatsSnapshot:

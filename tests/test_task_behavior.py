@@ -3,33 +3,11 @@
 import pytest
 
 from repro.engine.engine import EngineConfig, StreamProcessingEngine
-from repro.engine.udf import SinkUDF, SourceUDF, WindowedAggregateUDF
+from repro.engine.udf import SinkUDF, SourceUDF
 from repro.graphs.job_graph import JobGraph
 from repro.simulation.randomness import Deterministic
-from repro.workloads.rates import ConstantRate
 
-from conftest import make_linear_job, run_linear
-
-
-def windowed_job(window=0.2, rate=100.0):
-    """Source -> windowed counter -> Sink."""
-    graph = JobGraph("windowed")
-    src = graph.add_vertex("Src", lambda: SourceUDF(lambda now, rng: 1))
-
-    def make_window():
-        return WindowedAggregateUDF(
-            window,
-            create=lambda: 0,
-            add=lambda acc, x: acc + 1,
-            finalize=lambda acc: [acc],
-        )
-
-    win = graph.add_vertex("Win", make_window)
-    sink = graph.add_vertex("Snk", lambda: SinkUDF())
-    graph.connect(src, win)
-    graph.connect(win, sink)
-    src.rate_profile = ConstantRate(rate, jitter="deterministic")
-    return graph
+from conftest import make_linear_job, run_linear, windowed_job
 
 
 class TestWindowedTasks:
