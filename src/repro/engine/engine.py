@@ -134,9 +134,9 @@ class EngineConfig:
     worker_speed_factors: Optional[Tuple[float, ...]] = None
     #: root RNG seed for reproducibility
     seed: int = 7
-    #: block pre-draw of per-task service times (numpy-vectorized where
-    #: the distribution allows; bit-identical to scalar draws, so this
-    #: only changes speed — the toggle exists for the determinism tests)
+    #: block pre-draw of per-task service times (BlockSampler; bit-identical
+    #: to scalar draws, so this only changes speed — off is the scalar
+    #: reference the determinism tests replay)
     vectorized_sampling: bool = True
 
     # ------------------------------------------------------------------

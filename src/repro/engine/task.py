@@ -306,8 +306,9 @@ class RuntimeTask:
         self.udf = udf
         self.rng = rng
         self.item_size = item_size
-        #: block pre-draw of service times (bit-identical to scalar draws;
-        #: engine-wide toggle via EngineConfig.vectorized_sampling)
+        #: block pre-draw of service times through a stdlib BlockSampler
+        #: (bit-identical to scalar draws; engine-wide toggle via
+        #: EngineConfig.vectorized_sampling)
         self.vectorized = vectorized
         self._service_fn: Optional[Callable[[object], float]] = None
         self._generate: Optional[Callable] = None  # bound SourceUDF.generate

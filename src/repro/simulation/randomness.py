@@ -4,6 +4,11 @@ Every stochastic model input (service times, interarrival jitter, payload
 sizes, sampling decisions, ...) draws from a named stream derived from a
 single root seed, so whole experiments are reproducible bit-for-bit and
 changing one component's draws does not perturb the others.
+
+Block draws (:meth:`Distribution.sample_block`, :class:`BlockSampler`)
+only move *when* variates are pulled from a stream, never which ones come
+out: a block is bit-identical to the same number of scalar draws. The
+module uses the standard library only.
 """
 
 from __future__ import annotations
@@ -13,41 +18,16 @@ import random
 import zlib
 from typing import Dict, List
 
-try:  # numpy accelerates block draws; everything degrades gracefully
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is in the base image
-    _np = None
-
-#: below this block size the MT19937 state transplant costs more than it saves
-_NUMPY_MIN_BLOCK = 32
-
 #: default number of variates a :class:`BlockSampler` pre-draws per refill
 DEFAULT_BLOCK_SIZE = 256
 
 
 def block_uniforms(rng: random.Random, n: int) -> List[float]:
-    """Draw ``n`` uniforms bit-identical to ``n`` calls of ``rng.random()``.
+    """Draw ``n`` uniforms: exactly ``n`` calls of ``rng.random()``.
 
-    For large blocks the Mersenne-Twister state is transplanted into a
-    ``numpy.random.RandomState`` (same MT19937 core, same two-word
-    ``genrand_res53`` double construction), the block is drawn vectorized,
-    and the advanced state is transplanted back — so interleaving block
-    and scalar draws on the same stream yields exactly the scalar-only
-    sequence, for any split of the stream into blocks.
+    The shared primitive under the one-uniform :meth:`Distribution.sample_block`
+    overrides; ``n <= 0`` draws nothing.
     """
-    if n <= 0:
-        return []
-    if _np is not None and n >= _NUMPY_MIN_BLOCK:
-        version, internal, gauss = rng.getstate()
-        # CPython's MT state is (624 key words, pos); anything else means a
-        # non-standard Random subclass — fall through to scalar draws.
-        if version == 3 and len(internal) == 625:
-            state = _np.random.RandomState()
-            state.set_state(("MT19937", _np.asarray(internal[:624], dtype=_np.uint32), internal[624]))
-            out = state.random_sample(n)
-            _, keys, pos, _, _ = state.get_state()
-            rng.setstate((version, tuple(keys.tolist()) + (pos,), gauss))
-            return out.tolist()
     rand = rng.random
     return [rand() for _ in range(n)]
 
@@ -105,8 +85,8 @@ class Distribution:
         """Draw ``n`` variates, bit-identical to ``n`` :meth:`sample` calls.
 
         Subclasses whose transform is a pure function of one uniform
-        override this with a vectorized path over :func:`block_uniforms`;
-        the default falls back to ``n`` scalar draws (trivially identical).
+        override this with one comprehension over :func:`block_uniforms`;
+        the default is ``n`` scalar draws (trivially identical).
         """
         sample = self.sample
         return [sample(rng) for _ in range(n)]
@@ -153,8 +133,7 @@ class Exponential(Distribution):
 
     def sample_block(self, rng: random.Random, n: int) -> List[float]:
         # Same transform CPython's expovariate applies to each uniform:
-        # -log(1 - u) / lambd. math.log is kept (numpy's log is not
-        # bit-identical to libm's on all platforms).
+        # -log(1 - u) / lambd.
         lambd = 1.0 / self.mean
         log = math.log
         return [-log(1.0 - u) / lambd for u in block_uniforms(rng, n)]

@@ -9,6 +9,8 @@ import ast
 import importlib
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -157,41 +159,14 @@ class TestPackaging:
         assert "= src" in cfg
 
     def test_no_runtime_third_party_imports(self):
-        """The library must run stdlib-only: no hard third-party imports.
-
-        numpy is the one sanctioned *optional* accelerator (the vectorized
-        sampling hot path): its import must sit inside a try/except so the
-        library degrades gracefully when the package is absent. Everything
-        else on the banned list stays out entirely.
-        """
+        """The library must run stdlib-only: no banned third-party import,
+        guarded by a try/except or not."""
         banned = ("numpy", "scipy", "networkx", "pandas", "matplotlib")
-        optional = {"numpy"}
         for dirpath, _dirnames, filenames in os.walk(os.path.join(ROOT, "src")):
             for filename in filenames:
                 if not filename.endswith(".py"):
                     continue
-                source = read(os.path.join(dirpath, filename))
-                tree = ast.parse(source)
-                guarded = set()
-                for node in ast.walk(tree):
-                    if not isinstance(node, ast.Try):
-                        continue
-                    catches_import_error = any(
-                        handler.type is None
-                        or any(
-                            getattr(name, "id", None) in ("ImportError", "Exception")
-                            for name in (
-                                handler.type.elts
-                                if isinstance(handler.type, ast.Tuple)
-                                else [handler.type]
-                            )
-                        )
-                        for handler in node.handlers
-                    )
-                    if catches_import_error:
-                        for child in node.body:
-                            for sub in ast.walk(child):
-                                guarded.add(id(sub))
+                tree = ast.parse(read(os.path.join(dirpath, filename)))
                 for node in ast.walk(tree):
                     if isinstance(node, ast.Import):
                         names = [alias.name for alias in node.names]
@@ -200,12 +175,27 @@ class TestPackaging:
                     else:
                         continue
                     for name in names:
-                        root = name.split(".")[0]
-                        if root not in banned:
-                            continue
-                        assert root in optional and id(node) in guarded, (
+                        assert name.split(".")[0] not in banned, (
                             filename,
                             name,
-                            "third-party import must be optional "
-                            "(guarded by try/except ImportError)",
+                            "the library is stdlib-only",
                         )
+
+    def test_startup_imports_no_numpy(self):
+        """A fresh interpreter loading every entry point stays numpy-free."""
+        modules = (
+            "repro",
+            "repro.engine.engine",
+            "repro.cli",
+            "repro.sweep.orchestrator",
+            "repro.sweep.shard",
+            "repro.experiments.fig8_twitter",
+        )
+        code = "import sys\n" + "".join(f"import {m}\n" for m in modules)
+        code += "print('numpy' in sys.modules)\n"
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"

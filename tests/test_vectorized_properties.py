@@ -1,6 +1,6 @@
-"""Property-based tests for vectorized block sampling and record items.
+"""Property-based tests for block sampling and record items.
 
-The vectorization PR's correctness contract is *bit-identity*: block
+The correctness contract of block sampling is *bit-identity*: block
 pre-draws may change when variates are pulled from a stream, never which
 variates come out. Hypothesis drives arbitrary seeds and block-size
 splits against the scalar reference, and checks that record-struct items
@@ -30,8 +30,9 @@ from repro.simulation.randomness import (
     block_uniforms,
 )
 
-#: the distributions with a vectorized sample_block override, plus two
-#: that exercise the scalar fallback — all must satisfy the same contract
+#: the distributions with a one-comprehension sample_block override, plus
+#: two that exercise the default scalar loop — all must satisfy the same
+#: contract
 DISTRIBUTIONS = [
     Deterministic(0.004),
     Exponential(0.01),
@@ -41,7 +42,7 @@ DISTRIBUTIONS = [
 ]
 
 _seeds = st.integers(0, 2**32 - 1)
-# chunk sequences cross the numpy cutover (>=32) and stay scalar (<32)
+# 1 to 8 consecutive blocks of 1 to 80 draws each
 _splits = st.lists(st.integers(1, 80), min_size=1, max_size=8)
 
 
@@ -51,7 +52,7 @@ def _scalar_reference(seed, n):
 
 
 # ----------------------------------------------------------------------
-# block_uniforms: the one primitive everything vectorized rests on
+# block_uniforms: the one primitive the sample_block overrides rest on
 # ----------------------------------------------------------------------
 
 
@@ -91,8 +92,9 @@ class TestBlockUniforms:
 
         rng = Counting(5)
         reference = _scalar_reference(5, 40)
-        # SystemRandom-style subclasses keep working via the scalar loop
-        assert block_uniforms(rng, 40) == pytest.approx(reference)
+        # every draw goes through the subclass's own random(), never around it
+        assert block_uniforms(rng, 40) == reference
+        assert Counting.calls == 40
 
 
 # ----------------------------------------------------------------------
