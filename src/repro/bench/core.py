@@ -19,10 +19,6 @@ across differently-sized runners:
 ``kernel_handles``
     The same chains via cancellable handles on both kernels — isolates
     the tuple-keyed-heap win from the allocation win.
-``kernel_batch``
-    Precomputed arrival times: legacy one-``schedule_at``-per-record vs.
-    one :meth:`~repro.simulation.kernel.Simulator.schedule_batch` walker
-    per chain (the batched-arrival mode).
 
 The macro benchmark (``macro_twitter``) runs the reduced elastic
 TwitterSentiment job (Fig. 8 ``--quick`` parameterization) end to end —
@@ -112,33 +108,6 @@ def _bench_kernel_handles(n_events: int) -> Callable[[str], int]:
     return run
 
 
-def _bench_kernel_batch(n_events: int) -> Callable[[str], int]:
-    def run(flavor: str) -> int:
-        per_chain = n_events // CHAINS
-        counters = [0] * CHAINS
-
-        def consume(index: int) -> None:
-            counters[index] += 1
-
-        if flavor == "baseline":
-            legacy = LegacySimulator()
-            for index in range(CHAINS):
-                base = 0.0005 + 0.0001 * index
-                for step in range(per_chain):
-                    legacy.schedule_at(base + 0.001 * step, consume, index)
-            legacy.run()
-            return legacy.fired_events
-        sim = Simulator()
-        for index in range(CHAINS):
-            base = 0.0005 + 0.0001 * index
-            times = [base + 0.001 * step for step in range(per_chain)]
-            sim.schedule_batch(times, consume, index)
-        sim.run()
-        return sim.fired_events
-
-    return run
-
-
 def _best_rate(run: Callable[[str], int], flavor: str, repeats: int) -> float:
     """Best events/sec over ``repeats`` runs (min-noise estimator)."""
     best = 0.0
@@ -195,7 +164,6 @@ def run_benchmarks(quick: bool = False, macro: bool = True) -> Dict[str, object]
     micro = {
         "kernel": _bench_kernel(n_events),
         "kernel_handles": _bench_kernel_handles(n_events),
-        "kernel_batch": _bench_kernel_batch(n_events),
     }
     benchmarks: Dict[str, object] = {}
     for name, run in micro.items():

@@ -69,7 +69,7 @@ class OutputGate:
         "sim", "producer", "edge_name", "pattern", "key_fn", "strategy",
         "_mode", "_should_flush_on_emit", "_flush_deadline", "network",
         "channels", "partitioner", "_start", "_buffer", "_buffered_bytes",
-        "_flush_timer", "_timer_generation", "flushes", "_instant_overhead",
+        "_flush_timer", "flushes", "_instant_overhead",
     )
 
     #: emit() dispatch modes resolved from the strategy type once at
@@ -115,7 +115,6 @@ class OutputGate:
         self._buffer: List[Tuple[RuntimeChannel, DataItem]] = []
         self._buffered_bytes = 0
         self._flush_timer: Optional[Event] = None
-        self._timer_generation = 0
         #: lifetime flush count (tests / recorders)
         self.flushes = 0
 
@@ -171,9 +170,7 @@ class OutputGate:
                 self._flush()
             elif self._flush_timer is None:
                 sim = self.sim
-                timer = sim._schedule_pooled_at(sim.now + deadline, self._on_flush_timer)
-                self._flush_timer = timer
-                self._timer_generation = timer.generation
+                self._flush_timer = sim.schedule_at(sim.now + deadline, self._on_flush_timer)
             return True
         if mode == 1:  # InstantFlush: ship without touching the buffer
             if self._buffer:
@@ -201,9 +198,7 @@ class OutputGate:
             deadline = self._flush_deadline()
             if deadline is not None:
                 sim = self.sim
-                timer = sim._schedule_pooled_at(sim.now + deadline, self._on_flush_timer)
-                self._flush_timer = timer
-                self._timer_generation = timer.generation
+                self._flush_timer = sim.schedule_at(sim.now + deadline, self._on_flush_timer)
         return True
 
     def set_deadline(self, deadline: float) -> None:
@@ -220,16 +215,14 @@ class OutputGate:
         """Drop the buffered items without shipping (task crash)."""
         timer = self._flush_timer
         if timer is not None:
-            # Pooled-event owner contract: only cancel while our handle's
-            # generation is current (the kernel recycles fired/cancelled
-            # pooled events under a bumped generation).
-            if timer.generation == self._timer_generation:
-                timer.cancel()
+            timer.cancel()
             self._flush_timer = None
         self._buffer = []
         self._buffered_bytes = 0
 
     def _on_flush_timer(self) -> None:
+        # Cleared before anything else, so a non-None _flush_timer is
+        # always a pending timer that cancel() can revoke.
         self._flush_timer = None
         if self._buffer:
             self._flush()
@@ -237,8 +230,7 @@ class OutputGate:
     def _flush(self) -> None:
         timer = self._flush_timer
         if timer is not None:
-            if timer.generation == self._timer_generation:
-                timer.cancel()
+            timer.cancel()
             self._flush_timer = None
         buffer = self._buffer
         self._buffer = []

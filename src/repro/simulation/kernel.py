@@ -12,9 +12,9 @@ same instant fire in the order they were scheduled.
 Fast path
 ---------
 Heap entries are plain tuples keyed by ``(time, seq)``, so heap sifting
-compares tuple prefixes in C instead of calling ``Event.__lt__`` per
-comparison. Two entry shapes share the heap (``seq`` is unique per
-simulator, so comparisons never reach the third element):
+compares tuple prefixes in C and never calls back into Python. Two
+entry shapes share the heap (``seq`` is unique per simulator, so
+comparisons never reach the third element):
 
 ``(time, seq, callback, args)``
     The *fire-and-forget* path (:meth:`Simulator.schedule_fire`): no
@@ -25,22 +25,17 @@ simulator, so comparisons never reach the third element):
     what cancellation was for.
 
 ``(time, seq, event)``
-    The cancellable path (:meth:`Simulator.schedule`). Events whose
-    ``pooled`` flag is set are recycled into a free list after firing
-    (with a ``generation`` bump so stale handles can detect the reuse);
-    the kernel only pools events whose handles it controls —
-    :class:`PeriodicProcess` firings and :class:`BatchSchedule` steps.
-
-Batched arrivals (:meth:`Simulator.schedule_batch`) walk a precomputed
-time sequence with one recycled pooled event instead of allocating one
-event per record; each step still fires at its own time with a fresh
-``seq``, preserving the ``(time, seq)`` total order.
+    The cancellable path (:meth:`Simulator.schedule`): a freshly
+    allocated :class:`~repro.simulation.events.Event` handle, used where
+    a pending firing must be revocable — :class:`PeriodicProcess` ticks
+    and output-gate flush deadlines. A cancelled event stays in the heap
+    and is discarded when it reaches the top.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from repro.simulation.events import Event
 
@@ -76,7 +71,6 @@ class Simulator:
         self._running = False
         self._fired_events = 0
         self._max_heap = 0
-        self._pool: List[Event] = []
 
     @property
     def pending_events(self) -> int:
@@ -92,11 +86,6 @@ class Simulator:
     def max_heap_size(self) -> int:
         """High-water mark of the event heap over the run so far."""
         return self._max_heap
-
-    @property
-    def pooled_events(self) -> int:
-        """Size of the event free list (introspection for tests/bench)."""
-        return len(self._pool)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -159,36 +148,6 @@ class Simulator:
         if len(heap) > self._max_heap:
             self._max_heap = len(heap)
 
-    def _schedule_pooled_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Internal: cancellable scheduling with a pool-recycled event.
-
-        Owner contract: after the event fires or is cancelled, the caller
-        must drop (or generation-check) its handle — the kernel reuses
-        the object for later schedulings.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.generation += 1
-        else:
-            event = Event(time, seq, callback, args, pooled=True)
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, event))
-        if len(heap) > self._max_heap:
-            self._max_heap = len(heap)
-        return event
-
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
@@ -203,8 +162,13 @@ class Simulator:
             ``until`` and advance the clock to ``until``. If omitted, run
             until the event heap is exhausted.
         max_events:
-            Optional safety valve: stop after firing this many events.
+            Optional safety valve: fire at most this many events (``0``
+            fires none). A run the limit stops while events at or before
+            ``until`` are still pending leaves the clock at the last
+            fired event instead of advancing it to ``until``.
         """
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be non-negative (got {max_events})")
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
@@ -223,7 +187,6 @@ class Simulator:
         # (time, seq, callback, args) shape handled without indirection.
         heap = self._heap
         pop = heapq.heappop
-        pool = self._pool
         while heap:
             entry = pop(heap)
             if len(entry) == 4:
@@ -233,21 +196,16 @@ class Simulator:
                 continue
             event = entry[2]
             if event.cancelled:
-                if event.pooled:
-                    self._recycle(pool, event)
                 continue
             self.now = entry[0]
             self._fired_events += 1
             event.callback(*event.args)
-            if event.pooled:
-                self._recycle(pool, event)
 
     def _run_until(self, until: float) -> None:
         # Specialization of _run_bounded for the dominant run(until=...)
         # call: no max_events bookkeeping, no per-event None checks.
         heap = self._heap
         pop = heapq.heappop
-        pool = self._pool
         while heap:
             entry = heap[0]
             time = entry[0]
@@ -262,8 +220,6 @@ class Simulator:
                 event = entry[2]
                 if event.cancelled:
                     pop(heap)
-                    if event.pooled:
-                        self._recycle(pool, event)
                     continue
                 if time > until:
                     break
@@ -271,15 +227,15 @@ class Simulator:
                 self.now = time
                 self._fired_events += 1
                 event.callback(*event.args)
-                if event.pooled:
-                    self._recycle(pool, event)
         if self.now < until:
             self.now = until
 
-    def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> None:
+    def _run_bounded(self, until: Optional[float], max_events: int) -> None:
+        # The limit is checked before each firing, and returning on it
+        # skips the advance to ``until``: the events still pending at or
+        # before ``until`` must not fire behind the clock in a later run.
         heap = self._heap
         pop = heapq.heappop
-        pool = self._pool
         fired = 0
         while heap:
             entry = heap[0]
@@ -287,13 +243,13 @@ class Simulator:
                 event = entry[2]
                 if event.cancelled:
                     pop(heap)
-                    if event.pooled:
-                        self._recycle(pool, event)
                     continue
             else:
                 event = None
             if until is not None and entry[0] > until:
                 break
+            if fired >= max_events:
+                return
             pop(heap)
             self.now = entry[0]
             self._fired_events += 1
@@ -302,21 +258,8 @@ class Simulator:
                 entry[2](*entry[3])
             else:
                 event.callback(*event.args)
-                if event.pooled:
-                    self._recycle(pool, event)
-            if max_events is not None and fired >= max_events:
-                break
         if until is not None and self.now < until:
             self.now = until
-
-    @staticmethod
-    def _recycle(pool: List[Event], event: Event) -> None:
-        # Break reference cycles / drop payloads before pooling; the
-        # generation is bumped at *reuse* so a just-fired handle still
-        # reports the generation its owner saw.
-        event.callback = None
-        event.args = ()
-        pool.append(event)
 
     def step(self) -> bool:
         """Fire exactly the next pending event.
@@ -324,7 +267,6 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the heap is empty.
         """
         heap = self._heap
-        pool = self._pool
         while heap:
             entry = heapq.heappop(heap)
             if len(entry) == 4:
@@ -334,14 +276,10 @@ class Simulator:
                 return True
             event = entry[2]
             if event.cancelled:
-                if event.pooled:
-                    self._recycle(pool, event)
                 continue
             self.now = entry[0]
             self._fired_events += 1
             event.callback(*event.args)
-            if event.pooled:
-                self._recycle(pool, event)
             return True
         return False
 
@@ -367,30 +305,6 @@ class Simulator:
         first = interval if start_delay is None else start_delay
         return PeriodicProcess(self, interval, callback, args, first)
 
-    def schedule_batch(
-        self,
-        times: Sequence[float],
-        callback: Callable[..., Any],
-        *args: Any,
-    ) -> "BatchSchedule":
-        """Fire ``callback(*args)`` once at each absolute time in ``times``.
-
-        The batched-arrival mode: where a distribution allows precomputing
-        the next *k* firing times (deterministic rates, pre-drawn RNG
-        intervals, trace replay), one :class:`BatchSchedule` walks the
-        sequence with a single recycled pool event instead of ``k``
-        individually allocated events. Firing times and the
-        ``(time, seq)`` order among simultaneous events are exactly what
-        ``k`` successive ``schedule_at`` calls (each made when the
-        previous firing completes) would produce.
-
-        ``times`` must be non-decreasing and must not start in the past;
-        a violation raises :class:`SimulationError` when the offending
-        step is scheduled. Returns a handle whose :meth:`BatchSchedule
-        .stop` cancels the remaining firings.
-        """
-        return BatchSchedule(self, times, callback, args)
-
 
 class PeriodicProcess:
     """Handle for a recurring callback created by :meth:`Simulator.every`."""
@@ -408,24 +322,21 @@ class PeriodicProcess:
         self._callback = callback
         self._args = args
         self._stopped = False
-        event = sim._schedule_pooled_at(sim.now + first_delay, self._fire)
-        self._event: Optional[Event] = event
-        self._generation = event.generation
+        self._event: Optional[Event] = sim.schedule_at(sim.now + first_delay, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
         self._callback(*self._args)
         if not self._stopped:
-            event = self._sim._schedule_pooled_at(self._sim.now + self.interval, self._fire)
-            self._event = event
-            self._generation = event.generation
+            sim = self._sim
+            self._event = sim.schedule_at(sim.now + self.interval, self._fire)
 
     def stop(self) -> None:
         """Stop the recurrence; a pending firing is cancelled."""
         self._stopped = True
         event = self._event
-        if event is not None and event.generation == self._generation:
+        if event is not None:
             event.cancel()
         self._event = None
 
@@ -433,69 +344,3 @@ class PeriodicProcess:
     def stopped(self) -> bool:
         """Whether :meth:`stop` has been called."""
         return self._stopped
-
-
-class BatchSchedule:
-    """Handle for a precomputed firing sequence (batched-arrival mode)."""
-
-    __slots__ = ("_sim", "_times", "_index", "_callback", "_args", "_stopped",
-                 "_event", "_generation")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        times: Sequence[float],
-        callback: Callable[..., Any],
-        args: tuple,
-    ) -> None:
-        self._sim = sim
-        self._times = times
-        self._index = 0
-        self._callback = callback
-        self._args = args
-        self._stopped = False
-        self._event: Optional[Event] = None
-        self._generation = 0
-        if len(times) > 0:
-            self._push(times[0])
-        else:
-            self._stopped = True
-
-    def _push(self, time: float) -> None:
-        event = self._sim._schedule_pooled_at(time, self._fire)
-        self._event = event
-        self._generation = event.generation
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._callback(*self._args)
-        self._index += 1
-        if self._stopped:
-            return
-        times = self._times
-        if self._index < len(times):
-            self._push(times[self._index])
-        else:
-            self._stopped = True
-            self._event = None
-
-    def stop(self) -> None:
-        """Cancel the remaining firings (the pending one included)."""
-        self._stopped = True
-        event = self._event
-        if event is not None and event.generation == self._generation:
-            event.cancel()
-        self._event = None
-
-    @property
-    def stopped(self) -> bool:
-        """Whether the walk finished or was stopped."""
-        return self._stopped
-
-    @property
-    def remaining(self) -> int:
-        """Firings still pending (0 once stopped or exhausted)."""
-        if self._stopped:
-            return 0
-        return len(self._times) - self._index

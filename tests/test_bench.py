@@ -53,7 +53,7 @@ class TestRunBenchmarks:
         assert tiny_results["kind"] == "BENCH_core"
         assert tiny_results["quick"] is True
         benchmarks = tiny_results["benchmarks"]
-        for name in ("kernel", "kernel_handles", "kernel_batch"):
+        for name in ("kernel", "kernel_handles"):
             entry = benchmarks[name]
             assert entry["events_per_sec"] > 0
             assert entry["baseline_events_per_sec"] > 0
@@ -133,7 +133,7 @@ def _synthetic(quick: bool, speedups: dict) -> dict:
 
 class TestCheckRegression:
     def test_identical_payloads_pass(self):
-        committed = _synthetic(False, {"kernel": 3.0, "kernel_batch": 5.0})
+        committed = _synthetic(False, {"kernel": 3.0, "kernel_handles": 5.0})
         assert bench.check_regression(copy.deepcopy(committed), committed) == []
 
     def test_small_slowdown_within_tolerance_passes(self):
@@ -149,10 +149,10 @@ class TestCheckRegression:
         assert "kernel" in failures[0]
 
     def test_missing_benchmark_fails(self):
-        committed = _synthetic(False, {"kernel": 3.0, "kernel_batch": 5.0})
+        committed = _synthetic(False, {"kernel": 3.0, "kernel_handles": 5.0})
         fresh = _synthetic(False, {"kernel": 3.0})
         failures = bench.check_regression(fresh, committed)
-        assert any("kernel_batch" in f for f in failures)
+        assert any("kernel_handles" in f for f in failures)
 
     def test_cross_mode_comparison_widens_tolerance(self):
         """quick-vs-full squares the tolerance (0.7 -> 0.49)."""

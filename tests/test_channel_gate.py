@@ -12,9 +12,8 @@ from repro.engine.udf import SinkUDF
 from repro.simulation.kernel import Simulator
 
 
-@pytest.fixture
-def setup():
-    """A producer gate wired to one consumer task over one channel."""
+def wire():
+    """A producer wired to one consumer task over one channel."""
     sim = Simulator()
     network = NetworkModel(base_latency=0.001, per_batch_overhead=0.0, per_item_overhead=0.0)
     consumer = RuntimeTask(sim, "C", 0, SinkUDF(), random.Random(1), queue_capacity=4)
@@ -24,6 +23,11 @@ def setup():
     channel.producer = producer
     consumer.in_channels.append(channel)
     return sim, producer, consumer, channel
+
+
+@pytest.fixture
+def setup():
+    return wire()
 
 
 def item(payload="x", created=0.0):
@@ -156,6 +160,80 @@ class TestOutputGate:
         assert channel.batches_shipped == 0
         sim.run(until=0.051)
         assert channel.batches_shipped == 1
+
+    @staticmethod
+    def live_timers(sim):
+        """Pending, uncancelled cancellable events in the kernel heap."""
+        return [entry[2] for entry in sim._heap if len(entry) == 3 and not entry[2].cancelled]
+
+    def test_first_buffered_emit_arms_one_timer(self, setup):
+        sim, producer, consumer, channel = setup
+        gate = self.make_gate(setup, AdaptiveDeadlineBatching(initial_deadline=0.05))
+        gate.emit(channel, item())
+        timer = gate._flush_timer
+        assert timer is not None
+        assert self.live_timers(sim) == [timer]
+        gate.emit(channel, item())
+        assert gate._flush_timer is timer
+        assert self.live_timers(sim) == [timer]
+
+    def test_size_flush_cancels_deadline_timer(self, setup):
+        sim, producer, consumer, channel = setup
+        strategy = AdaptiveDeadlineBatching(initial_deadline=0.05, buffer_bytes=1024)
+        gate = self.make_gate(setup, strategy)
+        gate.emit(channel, item())
+        timer = gate._flush_timer
+        for _ in range(3):
+            gate.emit(channel, item())  # 4 x 256 = 1024 -> size flush
+        assert timer.cancelled
+        assert gate._flush_timer is None
+        sim.run(until=1.0)
+        assert gate.flushes == 1
+        assert channel.batches_shipped == 1
+        # The same four emits under a timer-free size cap fire exactly as
+        # many events: the cancelled deadline timer never fired.
+        twin = wire()
+        twin_sim, _, _, twin_channel = twin
+        twin_gate = self.make_gate(twin, FixedSizeBatching(1024))
+        for _ in range(4):
+            twin_gate.emit(twin_channel, item())
+        twin_sim.run(until=1.0)
+        assert sim.fired_events == twin_sim.fired_events
+
+    def test_discard_cancels_pending_timer(self, setup):
+        sim, producer, consumer, channel = setup
+        gate = self.make_gate(setup, AdaptiveDeadlineBatching(initial_deadline=0.05))
+        gate.emit(channel, item())
+        timer = gate._flush_timer
+        gate.discard()
+        assert timer.cancelled
+        assert gate._flush_timer is None
+        assert gate.buffered_items == 0
+        sim.run(until=1.0)
+        assert sim.fired_events == 0
+        assert gate.flushes == 0
+        assert channel.batches_shipped == 0
+
+    def test_emit_after_flush_arms_exactly_one_new_timer(self, setup):
+        sim, producer, consumer, channel = setup
+        strategy = AdaptiveDeadlineBatching(initial_deadline=0.05, buffer_bytes=1024)
+        gate = self.make_gate(setup, strategy)
+        gate.emit(channel, item())
+        first = gate._flush_timer
+        for _ in range(3):
+            gate.emit(channel, item())
+        assert first.cancelled and gate._flush_timer is None
+        assert gate.flushes == 1
+        gate.emit(channel, item())
+        timer = gate._flush_timer
+        assert timer is not None and timer is not first
+        gate.emit(channel, item())
+        assert gate._flush_timer is timer
+        assert self.live_timers(sim) == [timer]
+        sim.run(until=1.0)
+        assert gate.flushes == 2
+        assert gate._flush_timer is None
+        assert self.live_timers(sim) == []
 
     def test_set_deadline_delegates_to_strategy(self, setup):
         gate = self.make_gate(setup, AdaptiveDeadlineBatching(initial_deadline=0.05))

@@ -1,10 +1,9 @@
 """Property-based tests for the fast-path data structures.
 
 Hypothesis drives randomized operation sequences against the structures
-the fast-path PR rewrote — :class:`~repro.engine.queues.BoundedQueue`,
-the kernel's mixed-shape heap and :class:`BatchSchedule`, and the cached
-:class:`~repro.qos.stats.WindowedStats` aggregates — checking each
-against a trivially correct reference model.
+the fast-path PR rewrote — :class:`~repro.engine.queues.BoundedQueue`
+and the cached :class:`~repro.qos.stats.WindowedStats` aggregates —
+checking each against a trivially correct reference model.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from repro.engine.items import DataItem
 from repro.engine.queues import BoundedQueue
 from repro.qos.stats import OnlineStats, StatsSnapshot, WindowedStats
-from repro.simulation.kernel import Simulator
 
 # ----------------------------------------------------------------------
 # BoundedQueue: FIFO, capacity, space listeners
@@ -98,81 +96,6 @@ class TestBoundedQueueProperties:
         assert fired == ["refill"]
         queue.get()
         assert fired == ["refill", "second"]
-
-
-# ----------------------------------------------------------------------
-# Kernel: BatchSchedule equals individual scheduling; cancellation
-# ----------------------------------------------------------------------
-
-_offsets = st.lists(st.floats(0.0, 10.0, allow_nan=False, width=32), max_size=30)
-
-
-class TestBatchScheduleProperties:
-    @given(offsets=_offsets)
-    def test_batch_matches_individual_schedule_at(self, offsets):
-        """One BatchSchedule fires like n successive schedule_at calls."""
-        times = sorted(offsets)
-
-        ref_sim = Simulator()
-        ref_fired = []
-        for t in times:
-            ref_sim.schedule_at(t, ref_fired.append, t)
-        ref_sim.run()
-
-        sim = Simulator()
-        fired = []
-        batch = sim.schedule_batch(times, lambda: fired.append(sim.now))
-        sim.run()
-
-        assert fired == ref_fired
-        assert sim.now == ref_sim.now
-        assert sim.fired_events == ref_sim.fired_events
-        assert batch.stopped
-        assert batch.remaining == 0
-
-    @given(
-        offsets=st.lists(
-            st.floats(0.0, 10.0, allow_nan=False, width=32), min_size=1, max_size=30
-        ),
-        stop_after=st.integers(0, 30),
-    )
-    def test_stop_cancels_remaining_firings(self, offsets, stop_after):
-        """Stopping mid-walk fires exactly min(stop_after, n) steps."""
-        times = sorted(offsets)
-        sim = Simulator()
-        fired = []
-        batch = None
-
-        def step():
-            fired.append(sim.now)
-            if len(fired) >= stop_after:
-                batch.stop()
-
-        batch = sim.schedule_batch(times, step)
-        if stop_after == 0:
-            batch.stop()
-        sim.run()
-        expected = 0 if stop_after == 0 else min(stop_after, len(times))
-        assert len(fired) == expected
-        assert batch.stopped
-        assert batch.remaining == 0
-        # A stopped batch never fires again even if the sim keeps running.
-        sim.schedule(100.0, lambda: None)
-        sim.run()
-        assert len(fired) == expected
-
-    @given(offsets=_offsets, extra=_offsets)
-    def test_batch_interleaves_with_other_events(self, offsets, extra):
-        """Plain events scheduled alongside a batch leave its walk intact."""
-        times = sorted(offsets)
-        sim = Simulator()
-        order = []
-        sim.schedule_batch(times, lambda: order.append(("batch", sim.now)))
-        for t in extra:
-            sim.schedule_at(t, lambda t=t: order.append(("plain", t)))
-        sim.run()
-        assert [t for kind, t in order if kind == "batch"] == times
-        assert sorted(t for kind, t in order if kind == "plain") == sorted(extra)
 
 
 # ----------------------------------------------------------------------

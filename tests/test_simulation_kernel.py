@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.simulation.events import Event
 from repro.simulation.kernel import SimulationError, Simulator
 
 
@@ -193,11 +192,16 @@ class TestPeriodic:
 
 
 class TestEventObject:
-    def test_sort_key_orders_by_time_then_seq(self):
-        a = Event(1.0, 0, lambda: None, ())
-        b = Event(1.0, 1, lambda: None, ())
-        c = Event(0.5, 2, lambda: None, ())
-        assert sorted([a, b, c]) == [c, a, b]
+    def test_sort_key_orders_by_time_then_seq(self, sim):
+        """The kernel's heap key is each handle's ``(time, seq)``."""
+        fired = []
+        a = sim.schedule(1.0, fired.append, "a")
+        b = sim.schedule(1.0, fired.append, "b")
+        c = sim.schedule(0.5, fired.append, "c")
+        handles = sorted([a, b, c], key=lambda event: (event.time, event.seq))
+        assert handles == [c, a, b]
+        sim.run()
+        assert fired == ["c", "a", "b"]
 
     def test_pending_events_counts_heap(self, sim):
         sim.schedule(1.0, lambda: None)
